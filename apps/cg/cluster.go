@@ -26,9 +26,12 @@ type ClusterOptions struct {
 }
 
 // RunCluster solves A·x = b on an already-running cluster: worker w's graph
-// is placed on /job:<job>/task:<w>, every op executes on that task over TCP,
-// and the allgather/allreduce collectives run ring steps directly between
-// the task servers — the driver only moves scalars and the final solution.
+// is placed on /job:<job>/task:<w>, and each stage's Run executes on that
+// task as one partition in one RPC, with the A block and the vectors staying
+// resident there. The allgather/allreduce collectives run ring steps
+// directly between the task servers — after the one-off upload of each
+// worker's A block and vectors, the driver only moves scalars and the final
+// solution.
 func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts ClusterOptions) (*RealResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

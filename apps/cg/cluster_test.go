@@ -1,10 +1,14 @@
 package cg
 
 import (
+	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"tfhpc/internal/cluster"
+	"tfhpc/internal/telemetry"
 	"tfhpc/internal/tensor"
 )
 
@@ -55,5 +59,55 @@ func TestClusterRejectsSmallJob(t *testing.T) {
 	b := tensor.RandomUniform(tensor.Float64, 24, cfg.N)
 	if _, err := RunCluster(cfg, a, b, peers, ClusterOptions{}); err == nil {
 		t.Fatal("4-worker solve on a 2-task job should fail")
+	}
+}
+
+// servedCalls reads this process's tfhpc_rpc_served_total: every in-process
+// task server counts into it.
+func servedCalls(t *testing.T) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := telemetry.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "tfhpc_rpc_served_total "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("tfhpc_rpc_served_total not exported")
+	return 0
+}
+
+// TestClusterRPCsPerIteration bounds the calls a cluster solve serves: one
+// RunGraph per stage, so at most 3 per worker per iteration, plus setup and
+// readback per worker (health, collective init, 4 variable inits, 3
+// partition registrations, one solution read). Dispatching every op as its
+// own call serves about 23 per worker per iteration.
+func TestClusterRPCsPerIteration(t *testing.T) {
+	cfg := Config{N: 64, Workers: 2, MaxIters: 40}
+	a := SPDMatrix(cfg.N, 25)
+	b := tensor.RandomUniform(tensor.Float64, 26, cfg.N)
+	lc, err := cluster.StartLocal(map[string]int{"worker": cfg.Workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	peers := cluster.NewPeers(lc.Spec())
+	defer peers.Close()
+
+	before := servedCalls(t)
+	res, err := RunCluster(cfg, a, b, peers, ClusterOptions{HealthWait: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := servedCalls(t) - before
+	const setup = 10
+	if bound := int64(cfg.Workers * (3*res.Iters + setup)); served > bound {
+		t.Fatalf("%d iterations on %d workers served %d RPCs, bound %d", res.Iters, cfg.Workers, served, bound)
 	}
 }

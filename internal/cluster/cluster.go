@@ -1,6 +1,7 @@
 // Package cluster implements the distributed runtime: ClusterSpecs naming
 // jobs and tasks ("ps", "worker", "reducer"), per-task Servers that host
-// devices, variables and queues and execute ops over RPC, and the
+// devices, variables and queues and run registered graph partitions (and
+// one-off ops) over RPC, and the
 // SlurmClusterResolver that — like the paper's tf.contrib.cluster_resolver
 // extension — turns a Slurm allocation into a ready-to-use cluster.
 package cluster
@@ -80,6 +81,7 @@ type Server struct {
 	addr      string
 	advertise string
 	shmAddrs  []string
+	graphs    graphStore
 	mu        sync.Mutex
 }
 
@@ -88,6 +90,8 @@ func NewServer(job string, task int) *Server {
 	s := &Server{Job: job, Task: task, Res: session.NewResources(), Hub: collective.NewHub(), inbox: collective.NewShmInbox()}
 	s.srv = rpc.NewServer()
 	s.srv.Handle("RunOp", s.handleRunOp)
+	s.srv.Handle("RegisterGraph", s.handleRegisterGraph)
+	s.srv.HandleCtx("RunGraph", s.handleRunGraph)
 	s.srv.Handle("CollSend", s.Hub.HandleSend)
 	s.srv.HandleStream(collective.StreamMethod, s.Hub.HandleStream)
 	s.srv.Handle("CollInit", s.handleCollInit)
@@ -424,27 +428,34 @@ func (s *Server) handleRunOp(req []byte) ([]byte, error) {
 	return out.Encode(nil)
 }
 
-// Peers is the client side of a cluster: it forwards ops to remote tasks
-// and implements session.RemoteRunner.
+// Peers is the client side of a cluster: it runs session partitions on
+// remote tasks (session.Remote) and issues one-off ops and control calls.
 type Peers struct {
 	spec Spec
 
-	mu      sync.Mutex
-	clients map[string]*rpc.Client
+	mu         sync.Mutex
+	clients    map[string]*rpc.Client
+	registered map[string]bool // address + "\x00" + partition key
 }
 
 // NewPeers creates a client set over a spec.
 func NewPeers(spec Spec) *Peers {
-	return &Peers{spec: spec, clients: make(map[string]*rpc.Client)}
+	return &Peers{spec: spec, clients: make(map[string]*rpc.Client), registered: make(map[string]bool)}
 }
 
 // Spec returns the cluster spec.
 func (p *Peers) Spec() Spec { return p.spec }
 
 func (p *Peers) client(job string, task int) (*rpc.Client, error) {
+	_, c, err := p.dial(job, task)
+	return c, err
+}
+
+// dial resolves a task's address and its pooled client.
+func (p *Peers) dial(job string, task int) (string, *rpc.Client, error) {
 	addr, err := p.spec.Address(job, task)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -453,11 +464,12 @@ func (p *Peers) client(job string, task int) (*rpc.Client, error) {
 		c = rpc.Dial(addr)
 		p.clients[addr] = c
 	}
-	return c, nil
+	return addr, c, nil
 }
 
-// RunRemoteOp implements session.RemoteRunner by forwarding the op to the
-// task named in the device spec.
+// RunRemoteOp runs one op on the task named in the device spec, with its
+// inputs shipped in the call and its output shipped back: the one-off
+// init/readback call (sessions run remote ops in partitions instead).
 func (p *Peers) RunRemoteOp(device graph.DeviceSpec, op, nodeName string, attrs graph.Attrs,
 	inputNames []string, inputs []*tensor.Tensor) (*tensor.Tensor, error) {
 	task := device.Task

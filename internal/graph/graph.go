@@ -204,29 +204,6 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 	return out, nil
 }
 
-// Subgraph returns the set of node ids needed to evaluate the given targets
-// (reverse reachability over data and control edges).
-func (g *Graph) Subgraph(targets []*Node) map[int]bool {
-	needed := make(map[int]bool)
-	var visit func(n *Node)
-	visit = func(n *Node) {
-		if needed[n.id] {
-			return
-		}
-		needed[n.id] = true
-		for _, in := range n.inputs {
-			visit(in)
-		}
-		for _, c := range n.controls {
-			visit(c)
-		}
-	}
-	for _, t := range targets {
-		visit(t)
-	}
-	return needed
-}
-
 // Validate checks structural invariants: unique names, acyclicity, inputs
 // belonging to this graph.
 func (g *Graph) Validate() error {

@@ -183,20 +183,6 @@ func TestCycleDetection(t *testing.T) {
 	}
 }
 
-func TestSubgraph(t *testing.T) {
-	g := New()
-	a := g.AddOp("NoOp", nil)
-	b := g.AddOp("NoOp", nil, a)
-	cNode := g.AddOp("NoOp", nil) // unrelated
-	needed := g.Subgraph([]*Node{b})
-	if !needed[a.ID()] || !needed[b.ID()] {
-		t.Fatal("subgraph missing deps")
-	}
-	if needed[cNode.ID()] {
-		t.Fatal("subgraph includes unrelated node")
-	}
-}
-
 func TestGraphDefRoundTrip(t *testing.T) {
 	g := New()
 	val := tensor.FromF32(tensor.Shape{2, 2}, []float32{1, 2, 3, 4})

@@ -193,6 +193,9 @@ func decodeNode(g *Graph, buf []byte) (struct {
 	if name == "" || op == "" {
 		return out, fmt.Errorf("graph: node missing name or op")
 	}
+	if g.Lookup(name) != nil {
+		return out, fmt.Errorf("graph: duplicate node name %q", name)
+	}
 	spec, err := ParseDevice(device)
 	if err != nil {
 		return out, err
@@ -303,7 +306,7 @@ func UnmarshalAttrs(buf []byte) (Attrs, error) {
 func decodeAttr(buf []byte) (string, any, error) {
 	d := wire.NewDecoder(buf)
 	var key string
-	var kind uint64
+	var kind, valKind uint64
 	var val any
 	for {
 		field, wt, err := d.Next()
@@ -323,36 +326,42 @@ func decodeAttr(buf []byte) (string, any, error) {
 				return "", nil, err
 			}
 		case 3:
+			valKind = attrKindInt
 			v, err := d.Int()
 			if err != nil {
 				return "", nil, err
 			}
 			val = int(v)
 		case 4:
+			valKind = attrKindDouble
 			v, err := d.Double()
 			if err != nil {
 				return "", nil, err
 			}
 			val = v
 		case 5:
+			valKind = attrKindString
 			v, err := d.StringVal()
 			if err != nil {
 				return "", nil, err
 			}
 			val = v
 		case 6:
+			valKind = attrKindBool
 			v, err := d.Bool()
 			if err != nil {
 				return "", nil, err
 			}
 			val = v
 		case 7:
+			valKind = attrKindDType
 			v, err := d.Uint()
 			if err != nil {
 				return "", nil, err
 			}
 			val = tensor.DType(v)
 		case 8:
+			valKind = attrKindShape
 			sb, err := d.Bytes()
 			if err != nil {
 				return "", nil, err
@@ -375,6 +384,7 @@ func decodeAttr(buf []byte) (string, any, error) {
 			}
 			val = shape
 		case 9:
+			valKind = attrKindTensor
 			tb, err := d.Bytes()
 			if err != nil {
 				return "", nil, err
@@ -392,6 +402,9 @@ func decodeAttr(buf []byte) (string, any, error) {
 	}
 	if key == "" || kind == 0 {
 		return "", nil, fmt.Errorf("graph: attr missing key or kind")
+	}
+	if valKind != kind {
+		return "", nil, fmt.Errorf("graph: attr %q of kind %d carries a kind-%d value", key, kind, valKind)
 	}
 	return key, val, nil
 }

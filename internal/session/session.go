@@ -4,12 +4,14 @@
 // dispatches independent ops concurrently — the property the paper
 // highlights as a core advantage of dataflow computing.
 //
-// Ops placed on remote jobs/tasks are forwarded through a RemoteRunner
+// Ops placed on remote jobs/tasks are grouped into per-task partitions
+// (partition.go), each run in one call per Run through a Remote
 // (implemented over TCP RPC by internal/cluster), so the same session code
 // drives single-process and distributed executions.
 package session
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -17,6 +19,7 @@ import (
 	"tfhpc/internal/graph"
 	"tfhpc/internal/ops"
 	"tfhpc/internal/queue"
+	"tfhpc/internal/telemetry"
 	"tfhpc/internal/tensor"
 	"tfhpc/internal/timeline"
 	"tfhpc/internal/vars"
@@ -115,26 +118,31 @@ func (s *CollStore) CloseAll() {
 	}
 }
 
-// RemoteRunner executes a single op on a remote task. inputs are already
-// evaluated; the remote side applies the kernel against its own resources.
-type RemoteRunner interface {
-	RunRemoteOp(device graph.DeviceSpec, op, nodeName string, attrs graph.Attrs,
-		inputNames []string, inputs []*tensor.Tensor) (*tensor.Tensor, error)
+// Remote runs graph partitions on the tasks they are placed on;
+// internal/cluster implements it over RPC.
+type Remote interface {
+	// RunPartition executes p on its task: feeds bind the partition's cut
+	// inputs, fetches name the members whose values come back (in order)
+	// and targets name the members run for effect only.
+	RunPartition(ctx context.Context, p *Partition, feeds map[string]*tensor.Tensor,
+		fetches, targets []string) ([]*tensor.Tensor, error)
 }
 
 // Options configures a session.
 type Options struct {
 	// LocalJob/LocalTask identify this process within a cluster; ops whose
-	// device spec names another job/task are forwarded to Remote. An empty
-	// LocalJob treats every op as local.
+	// device spec names another job/task run in partitions on that task
+	// through Remote. An empty LocalJob treats every op as local.
 	LocalJob  string
 	LocalTask int
-	// Remote forwards non-local ops; required only in distributed runs.
-	Remote RemoteRunner
-	// Trace, when non-nil, records per-op spans (TensorFlow Timeline).
+	// Remote runs non-local partitions; required only in distributed runs.
+	Remote Remote
+	// Trace, when non-nil, records one span per local op and one per remote
+	// partition run (TensorFlow Timeline).
 	Trace *timeline.Trace
-	// Parallelism bounds concurrent op dispatch; 0 = unlimited (the executor
-	// is already throttled by dependencies; kernels self-limit to NumCPU).
+	// Parallelism bounds concurrent dispatch of local ops and remote
+	// partitions; 0 = unlimited (the executor is already throttled by
+	// dependencies; kernels self-limit to NumCPU).
 	//
 	// Caution: collective kernels (AllReduce, AllReduceFused, ...) block
 	// inside the executor until peer ranks issue the matching call, and the
@@ -147,11 +155,18 @@ type Options struct {
 	Parallelism int
 }
 
+// maxPlans bounds a session's cache of execution plans (one per distinct
+// feed/fetch/target signature); a full cache is dropped and refilled.
+const maxPlans = 64
+
 // Session executes a fixed graph repeatedly.
 type Session struct {
 	g    *graph.Graph
 	res  *Resources
 	opts Options
+
+	mu    sync.Mutex
+	plans map[string]*plan
 }
 
 // New validates the graph and binds it to resources. A nil res allocates
@@ -163,7 +178,7 @@ func New(g *graph.Graph, res *Resources, opts Options) (*Session, error) {
 	if res == nil {
 		res = NewResources()
 	}
-	return &Session{g: g, res: res, opts: opts}, nil
+	return &Session{g: g, res: res, opts: opts, plans: make(map[string]*plan)}, nil
 }
 
 // Resources exposes the session's stateful backing (for checkpointing).
@@ -178,53 +193,33 @@ func (s *Session) Graph() *graph.Graph { return s.g }
 // paper's STREAM trick of passing an op as a target with no fetches so that
 // no tensor value is returned to the client.
 func (s *Session) Run(feeds map[string]*tensor.Tensor, fetches, targets []string) ([]*tensor.Tensor, error) {
-	var roots []*graph.Node
-	resolve := func(name string) (*graph.Node, error) {
-		n := s.g.Lookup(name)
-		if n == nil {
-			return nil, fmt.Errorf("session: no node named %q", name)
-		}
-		return n, nil
-	}
-	fetchNodes := make([]*graph.Node, len(fetches))
-	for i, f := range fetches {
-		n, err := resolve(f)
-		if err != nil {
-			return nil, err
-		}
-		fetchNodes[i] = n
-		roots = append(roots, n)
-	}
-	for _, t := range targets {
-		n, err := resolve(t)
-		if err != nil {
-			return nil, err
-		}
-		roots = append(roots, n)
-	}
-	if len(roots) == 0 {
-		return nil, fmt.Errorf("session: Run needs at least one fetch or target")
-	}
-	for name := range feeds {
-		if _, err := resolve(name); err != nil {
-			return nil, err
-		}
-	}
+	return s.RunContext(context.Background(), feeds, fetches, targets)
+}
 
+// RunContext is Run bounded by ctx: no op or partition starts after ctx is
+// done, and ctx (its deadline and trace span) rides every remote partition
+// call.
+func (s *Session) RunContext(ctx context.Context, feeds map[string]*tensor.Tensor, fetches, targets []string) ([]*tensor.Tensor, error) {
+	p, err := s.planFor(feeds, fetches, targets)
+	if err != nil {
+		return nil, err
+	}
 	exec := &execution{
 		sess:    s,
-		needed:  s.g.Subgraph(roots),
+		ctx:     ctx,
+		plan:    p,
 		feeds:   feeds,
-		results: make(map[int]*tensor.Tensor),
+		results: make([]*tensor.Tensor, s.g.NumNodes()),
+		pending: make([]int, len(p.units)),
 		scratch: ops.NewScratch(),
 	}
 	if err := exec.run(); err != nil {
 		return nil, err
 	}
-	out := make([]*tensor.Tensor, len(fetchNodes))
-	for i, n := range fetchNodes {
-		v, ok := exec.results[n.ID()]
-		if !ok || v == nil {
+	out := make([]*tensor.Tensor, len(p.fetches))
+	for i, n := range p.fetches {
+		v := exec.results[n.ID()]
+		if v == nil {
 			return nil, fmt.Errorf("session: fetch %q produced no value", n.Name())
 		}
 		out[i] = v
@@ -232,15 +227,19 @@ func (s *Session) Run(feeds map[string]*tensor.Tensor, fetches, targets []string
 	return out, nil
 }
 
-// execution is the per-Run state of the parallel topological executor.
+// execution is the per-Run state of the parallel executor: it dispatches
+// the plan's units (local ops and remote partitions) as their dependencies
+// resolve.
 type execution struct {
 	sess    *Session
-	needed  map[int]bool
+	ctx     context.Context
+	plan    *plan
 	feeds   map[string]*tensor.Tensor
 	scratch *ops.Scratch
 
 	mu      sync.Mutex
-	results map[int]*tensor.Tensor
+	results []*tensor.Tensor // by node id
+	pending []int            // unresolved dependencies, by unit
 	err     error
 }
 
@@ -253,41 +252,21 @@ func (e *execution) setErr(err error) {
 }
 
 func (e *execution) run() error {
-	g := e.sess.g
-	// Build dependency counts restricted to the needed subgraph.
-	indeg := make(map[int]int, len(e.needed))
-	succs := make(map[int][]*graph.Node, len(e.needed))
-	var nodes []*graph.Node
-	for id := range e.needed {
-		nodes = append(nodes, g.Nodes()[id])
+	p := e.plan
+	for _, n := range p.fed {
+		e.results[n.ID()] = e.feeds[n.Name()]
 	}
-	for _, n := range nodes {
-		if _, fed := e.feeds[n.Name()]; fed {
-			continue // fed nodes have no dependencies
-		}
-		deps := 0
-		for _, in := range n.Inputs() {
-			if e.needed[in.ID()] {
-				deps++
-				succs[in.ID()] = append(succs[in.ID()], n)
-			}
-		}
-		for _, c := range n.ControlDeps() {
-			if e.needed[c.ID()] {
-				deps++
-				succs[c.ID()] = append(succs[c.ID()], n)
-			}
-		}
-		indeg[n.ID()] = deps
+	for i, u := range p.units {
+		e.pending[i] = u.ndeps
 	}
 
 	var wg sync.WaitGroup
 	var sem chan struct{}
-	if p := e.sess.opts.Parallelism; p > 0 {
-		sem = make(chan struct{}, p)
+	if par := e.sess.opts.Parallelism; par > 0 {
+		sem = make(chan struct{}, par)
 	}
-	var schedule func(n *graph.Node)
-	dispatch := func(n *graph.Node) {
+	var dispatch func(u *unit)
+	dispatch = func(u *unit) {
 		defer wg.Done()
 		if sem != nil {
 			sem <- struct{}{}
@@ -299,59 +278,58 @@ func (e *execution) run() error {
 		if failed {
 			return
 		}
-		out, err := e.evalNode(n)
-		if err != nil {
+		if err := e.ctx.Err(); err != nil {
 			e.setErr(err)
 			return
 		}
+		if err := e.runUnit(u); err != nil {
+			e.setErr(err)
+			return
+		}
+		var ready []*unit
 		e.mu.Lock()
-		e.results[n.ID()] = out
-		var ready []*graph.Node
-		for _, s := range succs[n.ID()] {
-			indeg[s.ID()]--
-			if indeg[s.ID()] == 0 {
-				ready = append(ready, s)
+		for _, s := range u.succs {
+			e.pending[s]--
+			if e.pending[s] == 0 {
+				ready = append(ready, p.units[s])
 			}
 		}
 		e.mu.Unlock()
 		for _, r := range ready {
-			schedule(r)
+			wg.Add(1)
+			go dispatch(r)
 		}
 	}
-	schedule = func(n *graph.Node) {
+	for _, i := range p.seeds {
 		wg.Add(1)
-		go dispatch(n)
-	}
-
-	// Seed: fed nodes resolve immediately; then roots with no remaining deps.
-	e.mu.Lock()
-	var seeds []*graph.Node
-	for _, n := range nodes {
-		if v, fed := e.feeds[n.Name()]; fed {
-			e.results[n.ID()] = v
-			for _, s := range succs[n.ID()] {
-				indeg[s.ID()]--
-			}
-		}
-	}
-	for _, n := range nodes {
-		if _, fed := e.feeds[n.Name()]; fed {
-			continue
-		}
-		if indeg[n.ID()] == 0 {
-			seeds = append(seeds, n)
-		}
-	}
-	e.mu.Unlock()
-	for _, n := range seeds {
-		schedule(n)
+		go dispatch(p.units[i])
 	}
 	wg.Wait()
 	return e.err
 }
 
-// evalNode runs one node locally or remotely.
-func (e *execution) evalNode(n *graph.Node) (*tensor.Tensor, error) {
+// runUnit executes one local op in-process, or one remote partition in a
+// single call to its task.
+func (e *execution) runUnit(u *unit) error {
+	opts := &e.sess.opts
+	var start float64
+	if opts.Trace != nil {
+		start = opts.Trace.Now()
+	}
+	var err error
+	if u.part != nil {
+		err = e.runPartition(u)
+	} else {
+		err = e.runLocal(u.node)
+	}
+	if opts.Trace != nil {
+		name, op, dev := u.traceLabels()
+		opts.Trace.AddSpan(name, op, dev, start, opts.Trace.Now())
+	}
+	return err
+}
+
+func (e *execution) runLocal(n *graph.Node) error {
 	inputs := make([]*tensor.Tensor, len(n.Inputs()))
 	inputNames := make([]string, len(n.Inputs()))
 	e.mu.Lock()
@@ -360,39 +338,46 @@ func (e *execution) evalNode(n *graph.Node) (*tensor.Tensor, error) {
 		inputNames[i] = in.Name()
 	}
 	e.mu.Unlock()
+	ctx := &ops.Context{
+		NodeName:   n.Name(),
+		Attrs:      n.Attrs(),
+		InputNames: inputNames,
+		Resources:  e.sess.res,
+		Scratch:    e.scratch,
+	}
+	out, err := ops.Run(n.Op(), ctx, inputs)
+	if err != nil {
+		return err
+	}
+	e.mu.Lock()
+	e.results[n.ID()] = out
+	e.mu.Unlock()
+	return nil
+}
 
-	opts := &e.sess.opts
-	dev := n.Device()
-	local := opts.LocalJob == "" || dev.IsLocalTo(opts.LocalJob, opts.LocalTask)
-
-	var start float64
-	if opts.Trace != nil {
-		start = opts.Trace.Now()
+func (e *execution) runPartition(u *unit) error {
+	feeds := make(map[string]*tensor.Tensor, len(u.cuts))
+	e.mu.Lock()
+	for _, c := range u.cuts {
+		feeds[c.Name()] = e.results[c.ID()]
 	}
-	var out *tensor.Tensor
-	var err error
-	if local {
-		ctx := &ops.Context{
-			NodeName:   n.Name(),
-			Attrs:      n.Attrs(),
-			InputNames: inputNames,
-			Resources:  e.sess.res,
-			Scratch:    e.scratch,
-		}
-		out, err = ops.Run(n.Op(), ctx, inputs)
-	} else {
-		if opts.Remote == nil {
-			return nil, fmt.Errorf("session: node %q placed on %v but no remote runner configured",
-				n.Name(), dev)
-		}
-		out, err = opts.Remote.RunRemoteOp(dev, n.Op(), n.Name(), n.Attrs(), inputNames, inputs)
+	e.mu.Unlock()
+	// A traced caller gets one span per partition run, parenting the call.
+	span := telemetry.SpanFromContext(e.ctx).Child("session_partition").Arg("partition", u.part.Name())
+	outs, err := e.sess.opts.Remote.RunPartition(telemetry.ContextWith(e.ctx, span),
+		u.part, feeds, u.fetchNames, u.targets)
+	span.End()
+	if err != nil {
+		return fmt.Errorf("session: partition %s: %w", u.part.Name(), err)
 	}
-	if opts.Trace != nil {
-		devStr := dev.String()
-		if devStr == "" {
-			devStr = "/device:CPU:0"
-		}
-		opts.Trace.AddSpan(n.Name(), n.Op(), devStr, start, opts.Trace.Now())
+	if len(outs) != len(u.outs) {
+		return fmt.Errorf("session: partition %s returned %d tensors, want %d",
+			u.part.Name(), len(outs), len(u.outs))
 	}
-	return out, err
+	e.mu.Lock()
+	for i, n := range u.outs {
+		e.results[n.ID()] = outs[i]
+	}
+	e.mu.Unlock()
+	return nil
 }

@@ -1,7 +1,9 @@
 package session
 
 import (
+	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -380,5 +382,142 @@ func TestAsyncAllReduceSpansRuns(t *testing.T) {
 		if vals[r] != 3 { // 1 + 2
 			t.Fatalf("rank %d: joined %g, want 3", r, vals[r])
 		}
+	}
+}
+
+// fakeRemote runs partitions in-process against one Resources per task and
+// records each call.
+type fakeRemote struct {
+	mu    sync.Mutex
+	res   map[string]*Resources
+	parts []*Partition
+	feeds [][]string
+}
+
+func (f *fakeRemote) RunPartition(ctx context.Context, p *Partition, feeds map[string]*tensor.Tensor,
+	fetches, targets []string) ([]*tensor.Tensor, error) {
+	g, err := graph.UnmarshalGraph(p.Def)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for name := range feeds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	f.mu.Lock()
+	if f.res == nil {
+		f.res = make(map[string]*Resources)
+	}
+	res := f.res[p.Device.String()]
+	if res == nil {
+		res = NewResources()
+		f.res[p.Device.String()] = res
+	}
+	f.parts = append(f.parts, p)
+	f.feeds = append(f.feeds, names)
+	f.mu.Unlock()
+	sess, err := New(g, res, Options{})
+	if err != nil {
+		return nil, err
+	}
+	return sess.RunContext(ctx, feeds, fetches, targets)
+}
+
+// TestPartitionsByTaskAndLevel: ops on one task share a partition unless a
+// path between them leaves the task; cut inputs arrive as feeds named after
+// their producers; sources join the partition of the op that reads them.
+func TestPartitionsByTaskAndLevel(t *testing.T) {
+	g := graph.New()
+	var a, c *graph.Node
+	g.WithDevice("/job:ps/task:0", func() {
+		a = g.AddNamedOp("a", "Add", nil, g.Const(tensor.ScalarF64(1)), g.Const(tensor.ScalarF64(2)))
+	})
+	b := g.AddNamedOp("b", "Neg", nil, a) // client
+	g.WithDevice("/job:ps/task:0", func() {
+		c = g.AddNamedOp("c", "Mul", nil, b, g.Const(tensor.ScalarF64(10)))
+		g.AddNamedOp("d", "Add", nil, c, a)
+	})
+	remote := &fakeRemote{}
+	sess, err := New(g, nil, Options{LocalJob: "client", Remote: remote})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sess.Run(nil, []string{"d"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out[0].ScalarFloat(); got != -27 {
+		t.Fatalf("d = %v, want -27", got)
+	}
+	if len(remote.parts) != 2 {
+		t.Fatalf("%d partition runs, want 2 (ps level 0 and level 2)", len(remote.parts))
+	}
+	if p := remote.parts[0]; p.Level != 0 || p.Device.String() != "/job:ps/task:0" || len(remote.feeds[0]) != 0 {
+		t.Fatalf("first partition %s fed %v", p.Name(), remote.feeds[0])
+	}
+	if p := remote.parts[1]; p.Level != 2 || strings.Join(remote.feeds[1], ",") != "a,b" {
+		t.Fatalf("second partition %s fed %v, want level 2 fed a,b", p.Name(), remote.feeds[1])
+	}
+	sub, err := graph.UnmarshalGraph(remote.parts[1].Def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.NumNodes() != 5 || sub.Lookup("b").Op() != "Placeholder" || sub.Lookup("a").Op() != "Placeholder" {
+		t.Fatalf("level-2 partition has %d nodes (b is %s), want c, d, its const and placeholders a, b",
+			sub.NumNodes(), sub.Lookup("b").Op())
+	}
+
+	// A second Run reuses the plan: same partitions, same keys.
+	if _, err := sess.Run(nil, []string{"d"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if remote.parts[2].Key != remote.parts[0].Key || remote.parts[3].Key != remote.parts[1].Key {
+		t.Fatal("repeated Run produced different partitions")
+	}
+}
+
+// TestTimelineOneSpanPerPartition: a remote partition is one timeline span,
+// however many ops it holds.
+func TestTimelineOneSpanPerPartition(t *testing.T) {
+	g := graph.New()
+	var sum *graph.Node
+	g.WithDevice("/job:worker/task:1", func() {
+		x := g.Const(tensor.FromF64(tensor.Shape{2}, []float64{1, 2}))
+		sum = g.AddOp("Sum", nil, g.AddOp("Mul", nil, x, x))
+	})
+	g.AddNamedOp("out", "Neg", nil, sum)
+	trace := timeline.New()
+	sess, _ := New(g, nil, Options{LocalJob: "client", Remote: &fakeRemote{}, Trace: trace})
+	if _, err := sess.Run(nil, []string{"out"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	events := trace.Events()
+	if len(events) != 2 {
+		t.Fatalf("trace has %d events, want 2 (one partition, one local op)", len(events))
+	}
+	var found bool
+	for _, ev := range events {
+		if ev.Device == "/job:worker/task:1" && strings.Contains(ev.Name, "level:0") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("no partition span in %+v", events)
+	}
+}
+
+// TestRunContextCanceled: no op starts once the Run's context is done.
+func TestRunContextCanceled(t *testing.T) {
+	g := graph.New()
+	g.AddNamedOp("v", "Assign", graph.Attrs{"var_name": "v"}, g.Const(tensor.ScalarF64(1)))
+	sess, _ := New(g, nil, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sess.RunContext(ctx, nil, []string{"v"}, nil); err != context.Canceled {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if _, err := sess.Resources().Vars.Get("v").Read(); err == nil {
+		t.Fatal("an op ran after the context was canceled")
 	}
 }

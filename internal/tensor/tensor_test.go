@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -309,6 +310,27 @@ func TestDecodeErrors(t *testing.T) {
 	good, _ := FromF64(Shape{4}, []float64{1, 2, 3, 4}).Encode(nil)
 	if _, _, err := Decode(good[:len(good)-3]); err == nil {
 		t.Fatal("truncated payload should error")
+	}
+}
+
+// TestDecodeHugeShapeShortPayload: a header claiming a huge shape over a
+// short payload fails before anything that size is allocated, and a dim
+// too big for an int is rejected.
+func TestDecodeHugeShapeShortPayload(t *testing.T) {
+	for _, src := range [][]byte{
+		{byte(Float64), 1, 0xff, 0xff, 0xff, 0x7f},             // 2^28 elements
+		{byte(Float64), 2, 0xff, 0xff, 0x3f, 0xff, 0xff, 0x3f}, // 2^21 × 2^21
+		append([]byte{byte(Float32), 2, 0}, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := Decode(src); err == nil {
+			t.Fatalf("% x decoded", src)
+		}
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<16 {
+			t.Fatalf("% x: rejecting it allocated %d bytes", src, grown)
+		}
 	}
 }
 

@@ -93,6 +93,9 @@ func ReadFramePooled(r io.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n > eagerFrameBytes {
+		return readLargePayload(r, n)
+	}
 	buf := GetBuf(n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		PutBuf(buf)
@@ -109,6 +112,9 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	if cap(buf) < n {
+		if n > eagerFrameBytes {
+			return readLargePayload(r, n)
+		}
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]

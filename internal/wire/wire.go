@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // WireType mirrors ProtoBuf's on-the-wire value kinds.
@@ -182,7 +183,7 @@ func (d *Decoder) Bytes() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int64(n) > MaxMessageSize {
+	if n > uint64(MaxMessageSize) {
 		return nil, ErrMessageTooLarge
 	}
 	if d.off+int(n) > len(d.buf) {
@@ -242,9 +243,38 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if int64(n) > MaxMessageSize {
 		return nil, ErrMessageTooLarge
 	}
+	if int(n) > eagerFrameBytes {
+		return readLargePayload(r, int(n))
+	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// eagerFrameBytes is the largest payload a frame reader allocates up front
+// from the length prefix alone. Past it the buffer grows as the payload
+// arrives, so a peer that claims a 2 GiB frame and sends a few bytes costs
+// a few MiB, not 2 GiB.
+const eagerFrameBytes = 4 << 20
+
+// readLargePayload reads an n-byte payload, n > eagerFrameBytes, growing
+// its buffer (by doubling, capped at n) as the bytes arrive.
+func readLargePayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, eagerFrameBytes)
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(cap(buf), n-len(buf)))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }

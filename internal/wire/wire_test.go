@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -216,5 +217,47 @@ func TestEncoderReset(t *testing.T) {
 	e.Reset()
 	if e.Len() != 0 {
 		t.Fatal("Reset should clear")
+	}
+}
+
+// TestBytesLengthBeyondInt: a length prefix past the int64 range is
+// rejected, not turned into a negative slice bound.
+func TestBytesLengthBeyondInt(t *testing.T) {
+	d := NewDecoder([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	if _, err := d.Bytes(); err != ErrMessageTooLarge {
+		t.Fatalf("want ErrMessageTooLarge, got %v", err)
+	}
+}
+
+// TestReadFrameShortOfClaimedLength: a frame that claims far more payload
+// than it carries fails with ErrUnexpectedEOF from every reader, having
+// allocated only a bounded buffer, and a large frame that does arrive in
+// full reads back intact.
+func TestReadFrameShortOfClaimedLength(t *testing.T) {
+	short := []byte{0x30, 0x30, 0x30, 0x17, 1, 2, 3} // claims ~770 MiB
+	readers := map[string]func(io.Reader) ([]byte, error){
+		"ReadFrame":       ReadFrame,
+		"ReadFramePooled": ReadFramePooled,
+		"ReadFrameInto":   func(r io.Reader) ([]byte, error) { return ReadFrameInto(r, nil) },
+	}
+	big := bytes.Repeat([]byte{7, 1, 9}, eagerFrameBytes)
+	var framed bytes.Buffer
+	if err := WriteFrame(&framed, big); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range readers {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := read(bytes.NewReader(short)); err != io.ErrUnexpectedEOF {
+			t.Fatalf("%s: want io.ErrUnexpectedEOF, got %v", name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 2*eagerFrameBytes {
+			t.Fatalf("%s: a 7-byte frame allocated %d bytes", name, grown)
+		}
+		got, err := read(bytes.NewReader(framed.Bytes()))
+		if err != nil || !bytes.Equal(got, big) {
+			t.Fatalf("%s: large frame: %v", name, err)
+		}
 	}
 }

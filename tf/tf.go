@@ -112,8 +112,8 @@ type (
 	ClusterSpec = cluster.Spec
 	// Server is one task: it owns resources and serves remote ops.
 	Server = cluster.Server
-	// Peers is the client side of a cluster; it implements the session's
-	// RemoteRunner.
+	// Peers is the client side of a cluster; it runs the session's remote
+	// partitions.
 	Peers = cluster.Peers
 	// SlurmResolver derives a ClusterSpec from a Slurm allocation.
 	SlurmResolver = cluster.SlurmResolver
